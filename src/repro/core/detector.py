@@ -22,7 +22,7 @@ import numpy as np
 
 from repro.core.config import DBCatcherConfig
 from repro.core.levels import calculate_levels
-from repro.core.matrices import CorrelationMatrix
+from repro.core.matrices import CorrelationMatrix, matrices_from_round
 from repro.core.records import DatabaseState, JudgementRecord
 from repro.core.streams import KPIStreams
 from repro.core.window import FlexibleWindow
@@ -91,10 +91,9 @@ class _RoundState:
     expansions: int = 0
     pending: List[int] = field(default_factory=list)
     records: Dict[int, JudgementRecord] = field(default_factory=dict)
-    #: Matrices and mask of the latest evaluated window, retained so the
-    #: finished result carries its correlation evidence for RCA.
-    matrices: Optional[Tuple[CorrelationMatrix, ...]] = None
-    round_active: Optional[Tuple[bool, ...]] = None
+    #: (round array, KPI names, active mask) of the latest evaluated
+    #: window, so the finished result carries its evidence for RCA.
+    evidence: Optional[Tuple[np.ndarray, Tuple[str, ...], np.ndarray]] = None
 
 
 class DBCatcher:
@@ -344,20 +343,19 @@ class DBCatcher:
                 )
                 return self._finish_round(state)
             with obs.span("detector.correlate"):
-                matrices = self._engine.matrices(
+                scores = self._engine.matrices(
                     window,
                     self._config.kpi_names,
                     max_delay=self._config.max_delay(state.size),
                     active=round_active,
                     window_start=state.start,
                 )
-            state.matrices = tuple(matrices)
-            state.round_active = tuple(bool(flag) for flag in round_active)
+            state.evidence = (scores, self._config.kpi_names, round_active)
             after_correlation = time.perf_counter()
             self.component_seconds["correlation"] += after_correlation - started
             with obs.span("detector.threshold"):
                 levels = calculate_levels(
-                    matrices, self._config, active=round_active
+                    scores, self._config, active=round_active
                 )
             still_pending: List[int] = []
             with obs.span("detector.verdict"):
@@ -388,12 +386,19 @@ class DBCatcher:
 
     def _finish_round(self, state: _RoundState) -> UnitDetectionResult:
         end = state.start + state.size
+        # Evidence becomes per-KPI matrices once per round: row views.
+        matrices: Optional[Tuple[CorrelationMatrix, ...]] = None
+        active: Optional[Tuple[bool, ...]] = None
+        if state.evidence is not None:
+            scores, kpi_names, round_active = state.evidence
+            matrices = matrices_from_round(kpi_names, scores)
+            active = tuple(round_active.tolist())
         result = UnitDetectionResult(
             start=state.start,
             end=end,
             records=dict(state.records),
-            matrices=state.matrices,
-            active=state.round_active,
+            matrices=matrices,
+            active=active,
         )
         self._results.append(result)
         self._rounds_completed += 1

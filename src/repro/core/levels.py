@@ -18,19 +18,23 @@ level-2, and scores at or above ``alpha`` are level-3.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Sequence, Tuple
+from functools import lru_cache
+from typing import Dict, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro.core.config import DBCatcherConfig
-from repro.core.matrices import CorrelationMatrix
+from repro.core.matrices import (
+    CorrelationMatrix,
+    databases_for_pairs,
+    triangle_indices,
+)
 
 __all__ = [
     "LEVEL_EXTREME_DEVIATION",
     "LEVEL_SLIGHT_DEVIATION",
     "LEVEL_CORRELATED",
     "score_to_level",
-    "aggregate_peer_scores",
     "CorrelationLevels",
     "calculate_levels",
 ]
@@ -38,6 +42,13 @@ __all__ = [
 LEVEL_EXTREME_DEVIATION = 1
 LEVEL_SLIGHT_DEVIATION = 2
 LEVEL_CORRELATED = 3
+
+
+def _scores_to_levels(scores, alphas, theta: float) -> np.ndarray:
+    """Vectorized ScoreToLevel (NaN scores compare false: level-1)."""
+    band = scores >= alphas - theta
+    deviated = np.where(band, LEVEL_SLIGHT_DEVIATION, LEVEL_EXTREME_DEVIATION)
+    return np.where(scores >= alphas, LEVEL_CORRELATED, deviated)
 
 
 def score_to_level(score: float, alpha: float, theta: float) -> int:
@@ -52,31 +63,51 @@ def score_to_level(score: float, alpha: float, theta: float) -> int:
     theta:
         Tolerance threshold; the level-2 band is ``[alpha - theta, alpha)``.
     """
-    if score >= alpha:
-        return LEVEL_CORRELATED
-    if score >= alpha - theta:
-        return LEVEL_SLIGHT_DEVIATION
-    return LEVEL_EXTREME_DEVIATION
+    return int(_scores_to_levels(np.float64(score), alpha, theta))
 
 
-def aggregate_peer_scores(scores: np.ndarray, how: str) -> float:
-    """Collapse a database's per-peer KCD list into a single score.
+#: Peer aggregation rules over the trailing peer axis (``max`` is the
+#: default; see :mod:`repro.core.config`).
+_AGGREGATORS = {
+    "max": lambda peers: peers.max(axis=-1),
+    "median": lambda peers: np.median(peers, axis=-1),
+    "mean": lambda peers: peers.mean(axis=-1),
+}
 
-    ``max`` is DBCatcher's default: a database is deviating only if it
-    tracks *no* peer; see :mod:`repro.core.config` for the rationale.
-    An empty score list (single active database) aggregates to ``1.0`` —
-    with no peers there is no correlation evidence against the database.
+
+@lru_cache(maxsize=256)
+def _search_plan(
+    n_dbs: int, active_key: bytes, kpi_names: Tuple[str, ...],
+    rr_only_kpis: Tuple[str, ...], primary: int | None,
+) -> Tuple[Tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
+    """Algorithm 1's ``Search`` step as index arrays, one entry per KPI group.
+
+    Entry ``(kpis, judged, columns)`` scores database ``judged[a]`` on KPI
+    rows ``kpis`` from round-array columns ``columns[a]``: its pairs with
+    the other judged databases, in index order.  Table II's R-R-only KPIs
+    group without the primary: it is neither judged on them nor a peer.
     """
-    values = np.asarray(scores, dtype=np.float64)
-    if values.size == 0:
-        return 1.0
-    if how == "max":
-        return float(values.max())
-    if how == "median":
-        return float(np.median(values))
-    if how == "mean":
-        return float(values.mean())
-    raise ValueError(f"unknown aggregation {how!r}")
+    active = np.frombuffer(active_key, dtype=bool)
+    groups = [(np.arange(len(kpi_names)), active)]
+    rr = np.array([kpi in rr_only_kpis for kpi in kpi_names], dtype=bool)
+    if rr.any() and primary is not None and primary < n_dbs:
+        replicas = active.copy()
+        replicas[primary] = False
+        groups = [(np.flatnonzero(~rr), active), (np.flatnonzero(rr), replicas)]
+    rows, cols = triangle_indices(n_dbs)
+    pair_of = np.zeros((n_dbs, n_dbs), dtype=np.intp)
+    pair_of[rows, cols] = pair_of[cols, rows] = np.arange(rows.size)
+    plan = []
+    for kpis, mask in groups:
+        judged = np.flatnonzero(mask)
+        n = judged.size
+        if kpis.size and n > 1:
+            peers = np.broadcast_to(judged, (n, n))[~np.eye(n, dtype=bool)]
+            columns = pair_of[judged[:, None], peers.reshape(n, n - 1)]
+            for shared in (kpis, judged, columns):  # every caller gets these
+                shared.setflags(write=False)
+            plan.append((kpis, judged, columns))
+    return tuple(plan)
 
 
 @dataclass(frozen=True)
@@ -122,7 +153,7 @@ class CorrelationLevels:
 
 
 def calculate_levels(
-    matrices: Sequence[CorrelationMatrix],
+    matrices: Union[np.ndarray, Sequence[CorrelationMatrix]],
     config: DBCatcherConfig,
     active: np.ndarray | None = None,
 ) -> CorrelationLevels:
@@ -132,7 +163,9 @@ def calculate_levels(
     ----------
     matrices:
         The ``Q`` correlation matrices of one observation window, in the
-        same order as ``config.kpi_names``.
+        same order as ``config.kpi_names``: a ``(n_kpis, n_pairs)`` round
+        array (what engines return) or per-KPI :class:`CorrelationMatrix`
+        objects.
     config:
         Supplies the per-KPI thresholds ``alpha_i``, the tolerance ``theta``
         and the peer aggregation rule.
@@ -146,14 +179,14 @@ def calculate_levels(
         The level dictionary ``D`` of Algorithm 1 in array form, plus the
         aggregated scores that produced each level (useful for reports).
     """
-    if len(matrices) != config.n_kpis:
+    table = matrices
+    if not isinstance(table, np.ndarray):
+        table = np.stack([matrix.triangle for matrix in matrices])
+    if table.shape[0] != config.n_kpis:
         raise ValueError(
-            f"expected {config.n_kpis} correlation matrices, got {len(matrices)}"
+            f"expected {config.n_kpis} correlation matrices, got {table.shape[0]}"
         )
-    n_dbs = matrices[0].n_databases
-    for matrix in matrices:
-        if matrix.n_databases != n_dbs:
-            raise ValueError("all correlation matrices must share a dimension")
+    n_dbs = databases_for_pairs(table.shape[1])
     if active is None:
         active_mask = np.ones(n_dbs, dtype=bool)
     else:
@@ -161,26 +194,18 @@ def calculate_levels(
         if active_mask.shape != (n_dbs,):
             raise ValueError("active mask must have one entry per database")
 
-    rr_only = set(config.rr_only_kpis)
-    primary = config.primary_index
-    levels = np.full((n_dbs, config.n_kpis), LEVEL_CORRELATED, dtype=np.int64)
+    plan = _search_plan(
+        n_dbs, active_mask.tobytes(), tuple(config.kpi_names),
+        tuple(config.rr_only_kpis), config.primary_index,
+    )
+    aggregate = _AGGREGATORS[config.peer_aggregation]
+    # Unjudged cells (inactive, or without peers) keep 1.0: no evidence.
     scores = np.ones((n_dbs, config.n_kpis), dtype=np.float64)
-    for kpi_index, matrix in enumerate(matrices):
-        alpha = config.alphas[kpi_index]
-        kpi_mask = active_mask
-        if config.kpi_names[kpi_index] in rr_only and primary is not None:
-            # Table II: this KPI's UKPIC holds only among replicas — the
-            # primary neither gets judged on it nor serves as a peer.
-            kpi_mask = active_mask.copy()
-            if primary < n_dbs:
-                kpi_mask[primary] = False
-        for db in range(n_dbs):
-            if not kpi_mask[db]:
-                continue
-            peer_scores = matrix.scores_for(db, active=kpi_mask)
-            aggregated = aggregate_peer_scores(peer_scores, config.peer_aggregation)
-            scores[db, kpi_index] = aggregated
-            levels[db, kpi_index] = score_to_level(aggregated, alpha, config.theta)
+    for kpis, judged, columns in plan:
+        peers = table[kpis[:, None, None], columns]  # (kpis, judged, peers)
+        scores[judged[:, None], kpis] = aggregate(peers).T
+    # alpha <= 1 (config-validated), so a 1.0 score is always level-3.
+    levels = _scores_to_levels(scores, np.asarray(config.alphas), config.theta)
     return CorrelationLevels(
         kpi_names=config.kpi_names, levels=levels, scores=scores
     )

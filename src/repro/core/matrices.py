@@ -1,26 +1,50 @@
 """Correlation matrices (Eq. 5) with upper-triangular storage.
 
-One :class:`CorrelationMatrix` per KPI preserves the pairwise KCD scores of
-all databases in a unit over one time window.  Because the matrix is
-symmetric with a unit diagonal, only the strict upper triangle is stored —
-``N * (N - 1) / 2`` floats per KPI — matching the paper's remark that the
-lower triangle need not be saved.
+A round's ``Q`` matrices live in one ``(n_kpis, n_pairs)`` *round
+array*: row ``k`` is KPI ``k``'s strict upper triangle in
+:func:`triangle_indices` order (the paper notes the symmetric lower
+triangle need not be saved).  Engines fill it; levels and RCA consume it
+whole.  :class:`CorrelationMatrix` is the per-KPI *boundary* type
+(results, persist codec, reports): zero-copy row views of a round array.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence
+from functools import lru_cache
+from math import isqrt
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.kcd import kcd_matrix
-
-__all__ = ["CorrelationMatrix", "build_correlation_matrices"]
+__all__ = [
+    "CorrelationMatrix",
+    "build_correlation_matrices",
+    "databases_for_pairs",
+    "matrices_from_round",
+    "triangle_indices",
+]
 
 
 def _triangle_size(n_databases: int) -> int:
     return n_databases * (n_databases - 1) // 2
+
+
+@lru_cache(maxsize=64)
+def triangle_indices(n_databases: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Cached, read-only ``(rows, cols)`` of the strict upper triangle."""
+    rows, cols = np.triu_indices(n_databases, k=1)
+    rows.setflags(write=False)
+    cols.setflags(write=False)
+    return rows, cols
+
+
+def databases_for_pairs(n_pairs: int) -> int:
+    """Invert :func:`_triangle_size`: ``N`` with ``N * (N - 1) / 2`` pairs."""
+    n = (1 + isqrt(1 + 8 * n_pairs)) // 2
+    if n < 2 or _triangle_size(n) != n_pairs:
+        raise ValueError(f"{n_pairs} is not the pair count of a unit")
+    return n
 
 
 def _pair_index(i: int, j: int, n: int) -> int:
@@ -72,28 +96,13 @@ class CorrelationMatrix:
 
     @classmethod
     def from_dense(cls, kpi: str, matrix: np.ndarray) -> "CorrelationMatrix":
-        """Build from a dense symmetric matrix (e.g. :func:`kcd_matrix`)."""
+        """Build from a dense symmetric matrix (e.g. a ``kcd_matrix``)."""
         dense = np.asarray(matrix, dtype=np.float64)
         if dense.ndim != 2 or dense.shape[0] != dense.shape[1]:
             raise ValueError(f"expected a square matrix, got {dense.shape}")
         n = dense.shape[0]
-        triangle = dense[np.triu_indices(n, k=1)]
+        triangle = dense[triangle_indices(n)]
         return cls(kpi=kpi, n_databases=n, triangle=triangle)
-
-    @classmethod
-    def from_window(
-        cls,
-        kpi: str,
-        series: np.ndarray,
-        max_delay: int | None = None,
-        active: np.ndarray | None = None,
-        measure=None,
-    ) -> "CorrelationMatrix":
-        """Compute the matrix from a ``(n_databases, n_points)`` window."""
-        return cls.from_dense(
-            kpi,
-            kcd_matrix(series, max_delay=max_delay, active=active, measure=measure),
-        )
 
     def score(self, i: int, j: int) -> float:
         """KCD between databases ``i`` and ``j`` (1.0 on the diagonal)."""
@@ -106,42 +115,25 @@ class CorrelationMatrix:
             i, j = j, i
         return float(self.triangle[_pair_index(i, j, n)])
 
-    def scores_for(self, database: int, active: np.ndarray | None = None) -> np.ndarray:
-        """All KCDs of one database against its peers (the ``Search`` step).
-
-        Parameters
-        ----------
-        database:
-            Index of the database of interest.
-        active:
-            Optional in-use mask; inactive peers are excluded from the
-            returned scores (an unused database must not drag its peers'
-            correlation levels down).
-
-        Returns
-        -------
-        numpy.ndarray
-            KCD scores against each active peer, in peer-index order.
-        """
-        n = self.n_databases
-        if not 0 <= database < n:
-            raise IndexError(f"database index out of range for N={n}")
-        peers = [p for p in range(n) if p != database]
-        if active is not None:
-            mask = np.asarray(active, dtype=bool)
-            if mask.shape != (n,):
-                raise ValueError("active mask must have one entry per database")
-            peers = [p for p in peers if mask[p]]
-        return np.array([self.score(database, p) for p in peers], dtype=np.float64)
-
     def to_dense(self) -> np.ndarray:
         """Reconstruct the full symmetric matrix with unit diagonal."""
         n = self.n_databases
         dense = np.eye(n, dtype=np.float64)
-        rows, cols = np.triu_indices(n, k=1)
+        rows, cols = triangle_indices(n)
         dense[rows, cols] = self.triangle
         dense[cols, rows] = self.triangle
         return dense
+
+
+def matrices_from_round(
+    kpi_names: Sequence[str], scores: np.ndarray
+) -> Tuple[CorrelationMatrix, ...]:
+    """One :class:`CorrelationMatrix` per KPI, as row views of a round array."""
+    n_dbs = databases_for_pairs(scores.shape[1])
+    return tuple(
+        CorrelationMatrix(kpi=kpi, n_databases=n_dbs, triangle=row)
+        for kpi, row in zip(kpi_names, scores)
+    )
 
 
 def build_correlation_matrices(
@@ -171,31 +163,19 @@ def build_correlation_matrices(
     engine:
         Optional :class:`repro.engine.KCDEngine` to delegate to (e.g. a
         :class:`~repro.engine.batched.BatchedEngine` shared across calls).
-        ``None`` keeps the classic per-KPI :func:`~repro.core.kcd.kcd_matrix`
-        path.
+        ``None`` builds the engine ``measure`` calls for.
 
     Returns
     -------
     list of CorrelationMatrix
         One matrix per KPI, in ``kpi_names`` order.
     """
-    if engine is not None:
-        if measure is not None:
-            raise ValueError("pass either engine or measure, not both")
-        return engine.matrices(window, kpi_names, max_delay=max_delay, active=active)
-    data = np.asarray(window, dtype=np.float64)
-    if data.ndim != 3:
-        raise ValueError(
-            f"expected (n_databases, n_kpis, n_points), got shape {data.shape}"
-        )
-    if data.shape[1] != len(kpi_names):
-        raise ValueError(
-            f"window has {data.shape[1]} KPI rows but {len(kpi_names)} names"
-        )
-    return [
-        CorrelationMatrix.from_window(
-            kpi, data[:, index, :], max_delay=max_delay, active=active,
-            measure=measure,
-        )
-        for index, kpi in enumerate(kpi_names)
-    ]
+    if engine is None:
+        # Local import: repro.engine builds on this module.
+        from repro.engine.base import make_engine
+
+        engine = make_engine(measure=measure)
+    elif measure is not None:
+        raise ValueError("pass either engine or measure, not both")
+    scores = engine.matrices(window, kpi_names, max_delay=max_delay, active=active)
+    return list(matrices_from_round(kpi_names, scores))

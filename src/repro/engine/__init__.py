@@ -1,8 +1,8 @@
 """Pluggable KCD compute engines (the correlation-measurement module).
 
-One observation window in, the unit's ``Q`` correlation matrices out —
-behind a single :class:`~repro.engine.base.KCDEngine` interface with two
-backends:
+One observation window in, the unit's ``Q`` correlation matrices out as
+one ``(n_kpis, n_pairs)`` round array — behind a single
+:class:`~repro.engine.base.KCDEngine` interface with two backends:
 
 * :class:`~repro.engine.batched.BatchedEngine` (``backend="batched"``,
   the default) — all database pairs and all KPIs in one vectorized FFT

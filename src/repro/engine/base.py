@@ -2,7 +2,9 @@
 
 A *KCD engine* turns one observation window of a unit — shape
 ``(n_databases, n_kpis, n_points)`` — into the unit's ``Q`` correlation
-matrices (Eq. 5).  Two backends ship (:data:`~repro.core.config.BACKENDS`):
+matrices (Eq. 5) as one ``(n_kpis, n_pairs)`` round array
+(:mod:`repro.core.matrices`).  Two backends ship
+(:data:`~repro.core.config.BACKENDS`):
 
 * ``batched`` (:class:`~repro.engine.batched.BatchedEngine`) — all pairs
   and all KPIs in one vectorized FFT pass, with incremental caching of
@@ -18,12 +20,11 @@ with a window in hand can also pass an engine straight to
 
 from __future__ import annotations
 
-from typing import List, Optional, Protocol, Sequence, Tuple, runtime_checkable
+from typing import Optional, Protocol, Sequence, Tuple, runtime_checkable
 
 import numpy as np
 
 from repro.core.config import BACKENDS
-from repro.core.matrices import CorrelationMatrix
 
 __all__ = ["KCDEngine", "make_engine", "validate_window"]
 
@@ -33,7 +34,7 @@ class KCDEngine(Protocol):
     """What every KCD compute backend must provide.
 
     Engines are stateful only through their cache: two engines of the same
-    backend fed the same windows produce identical matrices, and an engine
+    backend fed the same windows produce identical arrays, and an engine
     may be :meth:`reset` at any round boundary without changing results.
     Engines must stay picklable so detectors can cross the service's
     worker-process boundary.
@@ -49,8 +50,8 @@ class KCDEngine(Protocol):
         max_delay: Optional[int] = None,
         active: Optional[np.ndarray] = None,
         window_start: Optional[int] = None,
-    ) -> List[CorrelationMatrix]:
-        """All ``Q`` correlation matrices for one observation window.
+    ) -> np.ndarray:
+        """The round array of one window; inactive pairs hold 0.0.
 
         ``window_start`` is the window's absolute first tick; passing it
         lets a caching engine recognise the expand-in-place pattern of the

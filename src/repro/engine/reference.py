@@ -16,12 +16,12 @@ batched and always runs here regardless of the configured backend.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
 from repro.core.kcd import _profile_reference
-from repro.core.matrices import CorrelationMatrix
+from repro.core.matrices import triangle_indices
 from repro.core.normalize import minmax_normalize
 from repro.engine.base import validate_window
 
@@ -54,17 +54,15 @@ class ReferenceEngine:
         max_delay: Optional[int] = None,
         active: Optional[np.ndarray] = None,
         window_start: Optional[int] = None,
-    ) -> List[CorrelationMatrix]:
+    ) -> np.ndarray:
         data, active_mask, m = validate_window(window, kpi_names, max_delay, active)
-        n_dbs = data.shape[0]
-        pair_i, pair_j = np.triu_indices(n_dbs, k=1)
-        out: List[CorrelationMatrix] = []
-        for index, kpi in enumerate(kpi_names):
+        pair_i, pair_j = triangle_indices(data.shape[0])
+        scores = np.zeros((len(kpi_names), pair_i.size), dtype=np.float64)
+        for index in range(len(kpi_names)):
             normalized = np.vstack(
                 [minmax_normalize(row) for row in data[:, index, :]]
             )
-            dense = np.eye(n_dbs, dtype=np.float64)
-            for i, j in zip(pair_i, pair_j):
+            for pair, (i, j) in enumerate(zip(pair_i, pair_j)):
                 if not (active_mask[i] and active_mask[j]):
                     continue
                 if self.measure is not None:
@@ -73,7 +71,5 @@ class ReferenceEngine:
                     score = float(
                         _profile_reference(normalized[i], normalized[j], m).max()
                     )
-                dense[i, j] = score
-                dense[j, i] = score
-            out.append(CorrelationMatrix.from_dense(kpi, dense))
-        return out
+                scores[index, pair] = score
+        return scores

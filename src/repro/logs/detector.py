@@ -17,16 +17,18 @@ round abnormal when either
 
 Baselines update *after* judging, from every known cell including its
 zeros, so the detector is strictly online: a verdict depends only on
-rounds that ended before the judged one.  Everything is integer/float
-arithmetic over dictionaries — no RNG, no wall clock — so equal streams
-give equal verdicts, which the fused-verdict determinism suite pins.
+rounds that ended before the judged one.  Everything is elementwise
+float arithmetic over the cells' baseline arrays — no RNG, no wall clock
+— so equal streams give equal verdicts, which the fused-verdict
+determinism suite pins.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Dict, Mapping, Tuple
+
+import numpy as np
 
 __all__ = ["LogVerdict", "LogFrequencyDetector"]
 
@@ -83,29 +85,6 @@ class LogVerdict:
         return bool(self.abnormal_databases)
 
 
-class _CellStats:
-    """Welford accumulator for one ``(database, template)`` cell."""
-
-    __slots__ = ("n", "mean", "m2")
-
-    def __init__(self) -> None:
-        self.n = 0
-        self.mean = 0.0
-        self.m2 = 0.0
-
-    def update(self, value: float) -> None:
-        self.n += 1
-        delta = value - self.mean
-        self.mean += delta / self.n
-        self.m2 += delta * (value - self.mean)
-
-    @property
-    def std(self) -> float:
-        if self.n < 2:
-            return 0.0
-        return math.sqrt(self.m2 / (self.n - 1))
-
-
 class LogFrequencyDetector:
     """Online burst detection over one unit's template count stream.
 
@@ -152,7 +131,12 @@ class LogFrequencyDetector:
         self.min_count = min_count
         self.warmup_rounds = warmup_rounds
         self.rounds_judged = 0
-        self._stats: Dict[Tuple[int, str], _CellStats] = {}
+        #: Welford baselines: ``(database, template)`` cell -> its row in
+        #: ``_n``/``_mean``/``_m2``.
+        self._rows: Dict[Tuple[int, str], int] = {}
+        self._n = np.zeros(0, dtype=np.int64)
+        self._mean = np.zeros(0, dtype=np.float64)
+        self._m2 = np.zeros(0, dtype=np.float64)
 
     def judge(
         self, start: int, end: int, counts: Mapping[Tuple[int, str], int]
@@ -161,28 +145,44 @@ class LogFrequencyDetector:
         if end <= start:
             raise ValueError("round must satisfy start < end")
         scale = self.reference_window / (end - start)
+        rows = self._rows
+        known = len(rows)
+        cells = list(counts)
+        raw = np.fromiter(counts.values(), dtype=np.float64, count=len(cells))
+        # Unknown cells get fresh rows now (they baseline from this round).
+        at = np.array(
+            [rows.setdefault(cell, len(rows)) for cell in cells], dtype=np.intp
+        )
+        grown = len(rows) - known
+        if grown:
+            self._n = np.concatenate([self._n, np.zeros(grown, dtype=np.int64)])
+            self._mean = np.concatenate([self._mean, np.zeros(grown)])
+            self._m2 = np.concatenate([self._m2, np.zeros(grown)])
         burst_scores: Dict[int, float] = {}
         burst_templates: Dict[int, Dict[str, float]] = {}
-        warm = self.rounds_judged >= self.warmup_rounds
-        if warm:
-            for (database, template), count in counts.items():
-                if count < self.min_count:
+        if self.rounds_judged >= self.warmup_rounds:
+            n = self._n[at]
+            mean = self._mean[at]
+            with np.errstate(divide="ignore", invalid="ignore"):
+                std = np.where(n >= 2, np.sqrt(self._m2[at] / (n - 1)), 0.0)
+            std = np.maximum(
+                np.maximum(std, np.sqrt(np.maximum(mean, 0.0))), _STD_FLOOR
+            )
+            scores = np.where(
+                n < self.warmup_rounds,
+                # Novel (or near-novel) template: alarming only at
+                # WARN/ERROR severity (filtered below).
+                self.threshold_sigma * raw / self.min_count,
+                (raw * scale - mean) / std,
+            )
+            firing = (raw >= self.min_count) & (scores >= self.threshold_sigma)
+            novel = n < self.warmup_rounds
+            for index in np.flatnonzero(firing).tolist():
+                database, template = cells[index]
+                level = template.split(":", 1)[0]
+                if novel[index] and level not in _ALARM_LEVELS:
                     continue
-                rate = count * scale
-                stats = self._stats.get((database, template))
-                if stats is None or stats.n < self.warmup_rounds:
-                    # Novel (or near-novel) template: alarming only at
-                    # WARN/ERROR severity.
-                    if template.split(":", 1)[0] not in _ALARM_LEVELS:
-                        continue
-                    score = self.threshold_sigma * count / self.min_count
-                else:
-                    std = max(
-                        stats.std, math.sqrt(max(stats.mean, 0.0)), _STD_FLOOR
-                    )
-                    score = (rate - stats.mean) / std
-                if score < self.threshold_sigma:
-                    continue
+                score = float(scores[index])
                 burst_scores[database] = max(
                     burst_scores.get(database, 0.0), score
                 )
@@ -190,12 +190,12 @@ class LogFrequencyDetector:
                 per_db[template] = per_db.get(template, 0.0) + score
         # Baselines absorb the round after judging: every known cell
         # updates, zeros included, so a template's *absence* is evidence.
-        known = set(self._stats)
-        for cell in counts:
-            if cell not in known:
-                self._stats[cell] = _CellStats()
-        for cell, stats in self._stats.items():
-            stats.update(counts.get(cell, 0) * scale)
+        values = np.zeros(len(rows))
+        values[at] = raw * scale
+        self._n += 1
+        delta = values - self._mean
+        self._mean += delta / self._n
+        self._m2 += delta * (values - self._mean)
         self.rounds_judged += 1
 
         abnormal = tuple(sorted(burst_scores))

@@ -69,15 +69,7 @@ class _Span:
         cpu = time.thread_time() - self._cpu_started
         stack = self._tracer._stack()
         stack.pop()
-        self._tracer._finish(
-            SpanRecord(
-                name=self.name,
-                wall_seconds=wall,
-                cpu_seconds=cpu,
-                parent=stack[-1] if stack else None,
-                depth=len(stack),
-            )
-        )
+        self._tracer._finish(self.name, wall, cpu, stack)
 
 
 class _NullSpan:
@@ -146,21 +138,26 @@ class Tracer:
     def remove_hook(self, hook: SpanHook) -> None:
         self._hooks.remove(hook)
 
-    def _finish(self, record: SpanRecord) -> None:
+    def _finish(self, name: str, wall: float, cpu: float, stack: List[str]) -> None:
         registry = self.registry
-        cached = self._span_instruments.get(record.name)
+        cached = self._span_instruments.get(name)
         if cached is None or cached[0] is not registry:
             cached = (
                 registry,
-                registry.histogram(
-                    f"span.{record.name}.wall_seconds", bounds=SPAN_BUCKETS
-                ),
-                registry.histogram(
-                    f"span.{record.name}.cpu_seconds", bounds=SPAN_BUCKETS
-                ),
+                registry.histogram(f"span.{name}.wall_seconds", bounds=SPAN_BUCKETS),
+                registry.histogram(f"span.{name}.cpu_seconds", bounds=SPAN_BUCKETS),
             )
-            self._span_instruments[record.name] = cached
-        cached[1].observe(record.wall_seconds)
-        cached[2].observe(record.cpu_seconds)
-        for hook in self._hooks:
-            hook(record)
+            self._span_instruments[name] = cached
+        cached[1].observe(wall)
+        cached[2].observe(cpu)
+        if self._hooks:
+            # Records are built only for hooks to read.
+            record = SpanRecord(
+                name=name,
+                wall_seconds=wall,
+                cpu_seconds=cpu,
+                parent=stack[-1] if stack else None,
+                depth=len(stack),
+            )
+            for hook in self._hooks:
+                hook(record)

@@ -30,6 +30,7 @@ import numpy as np
 
 from repro.core.config import DBCatcherConfig
 from repro.core.detector import UnitDetectionResult
+from repro.core.matrices import triangle_indices
 from repro.obs import runtime as obs
 
 __all__ = ["Attribution", "Attributor", "attribute_result"]
@@ -134,35 +135,32 @@ def attribute_result(
     matrices = result.matrices
     if matrices is None:
         return None
+    scores = np.stack([matrix.triangle for matrix in matrices])
     n_dbs = matrices[0].n_databases
     if result.active is not None:
         active = np.asarray(result.active, dtype=bool)
     else:
         active = np.ones(n_dbs, dtype=bool)
-    rows, cols = np.triu_indices(n_dbs, k=1)
-    rr_only = set(config.rr_only_kpis)
+    rows, cols = triangle_indices(n_dbs)
+    kpi_masks = np.tile(active, (len(matrices), 1))
     primary = config.primary_index
+    if primary is not None and primary < n_dbs:
+        rr_only = [matrix.kpi in config.rr_only_kpis for matrix in matrices]
+        kpi_masks[np.flatnonzero(rr_only), primary] = False
 
-    db_totals = np.zeros(n_dbs, dtype=np.float64)
-    pair_totals = np.zeros(rows.size, dtype=np.float64)
-    kpi_totals: Dict[str, float] = {}
-    cells_evaluated = 0
-    total_deficit = 0.0
-    for kpi_index, matrix in enumerate(matrices):
-        alpha = float(config.alphas[kpi_index])
-        kpi_mask = active
-        if matrix.kpi in rr_only and primary is not None and primary < n_dbs:
-            kpi_mask = active.copy()
-            kpi_mask[primary] = False
-        triangle = np.asarray(matrix.triangle, dtype=np.float64)
-        usable = kpi_mask[rows] & kpi_mask[cols] & np.isfinite(triangle)
-        deficits = np.where(usable, np.clip(alpha - triangle, 0.0, None), 0.0)
-        kpi_totals[matrix.kpi] = float(deficits.sum())
-        pair_totals += deficits
-        np.add.at(db_totals, rows, deficits)
-        np.add.at(db_totals, cols, deficits)
-        cells_evaluated += int(usable.sum())
-        total_deficit += float(deficits.sum())
+    # One pass over the (n_kpis, n_pairs) round array.
+    usable = kpi_masks[:, rows] & kpi_masks[:, cols] & np.isfinite(scores)
+    alphas = np.asarray(config.alphas, dtype=np.float64)[:, None]
+    deficits = np.where(usable, np.clip(alphas - scores, 0.0, None), 0.0)
+    kpi_totals = dict(
+        zip([matrix.kpi for matrix in matrices], deficits.sum(axis=1).tolist())
+    )
+    pair_totals = deficits.sum(axis=0)
+    db_totals = np.bincount(rows, pair_totals, n_dbs) + np.bincount(
+        cols, pair_totals, n_dbs
+    )
+    cells_evaluated = int(np.count_nonzero(usable))
+    total_deficit = sum(kpi_totals.values())
 
     strength = total_deficit / cells_evaluated if cells_evaluated else 0.0
     db_norm = db_totals.sum()

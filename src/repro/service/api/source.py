@@ -26,7 +26,7 @@ before consuming any tick).
 from __future__ import annotations
 
 import threading
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, Optional, Sequence, Tuple
 
 from repro.obs import runtime as obs
 from repro.service.api.wire import FleetSpec, WireError
@@ -144,6 +144,9 @@ class NetworkSource:
     ) -> Dict[str, int]:
         """Admit one validated batch; returns accepted / stale counts.
 
+        ``events`` come as :func:`~repro.service.api.wire.parse_tick_batch`
+        returns them: one unit's ticks in strictly increasing ``seq``.
+
         Raises :class:`Backpressure` when the queue fills mid-batch (the
         sequence cursor stops at the first unadmitted tick, so a verbatim
         re-post resumes exactly where this offer stopped) and
@@ -168,29 +171,29 @@ class NetworkSource:
                     field="unit",
                     status=404,
                 )
-            accepted = 0
+            # A validated batch is strictly increasing, so its stale
+            # ticks form a prefix; the rest go to the queue in one call.
+            cursor = self._next_seq[unit]
             stale = 0
             for event in events:
-                if event.seq < self._next_seq[unit]:
-                    stale += 1
-                    continue
-                try:
-                    admitted = self._queue.try_put(event)
-                except QueueClosed:
-                    self._record(accepted, stale)
-                    raise WireError(
-                        "stream_closed", "the stream is closed", status=409
-                    ) from None
-                if not admitted:
-                    self._record(accepted, stale)
-                    self.backpressure_total += 1
-                    obs.counter("api.backpressure_rejections").increment()
-                    raise Backpressure(
-                        accepted, stale, self.retry_after_seconds
-                    )
-                self._next_seq[unit] = event.seq + 1
-                accepted += 1
+                if event.seq >= cursor:
+                    break
+                stale += 1
+            fresh = events[stale:]
+            try:
+                accepted = self._queue.try_put_many(fresh) if fresh else 0
+            except QueueClosed:
+                self._record(0, stale)
+                raise WireError(
+                    "stream_closed", "the stream is closed", status=409
+                ) from None
+            if accepted:
+                self._next_seq[unit] = fresh[accepted - 1].seq + 1
             self._record(accepted, stale)
+            if accepted < len(fresh):
+                self.backpressure_total += 1
+                obs.counter("api.backpressure_rejections").increment()
+                raise Backpressure(accepted, stale, self.retry_after_seconds)
             return {"accepted": accepted, "stale": stale}
 
     def _record(self, accepted: int, stale: int) -> None:

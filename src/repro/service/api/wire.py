@@ -135,6 +135,11 @@ def _reject_constant(literal: str) -> Any:
     )
 
 
+#: One decoder for every body: ``json.loads`` with a hook argument would
+#: build a fresh decoder (and scanner) per request.
+_DECODER = json.JSONDecoder(parse_constant=_reject_constant)
+
+
 def decode_body(raw: bytes, max_bytes: int = DEFAULT_MAX_BODY_BYTES) -> Any:
     """Decode a request body into a JSON value, or raise :class:`WireError`."""
     if len(raw) > max_bytes:
@@ -148,7 +153,7 @@ def decode_body(raw: bytes, max_bytes: int = DEFAULT_MAX_BODY_BYTES) -> Any:
     except UnicodeDecodeError as exc:
         raise WireError("bad_encoding", f"body is not UTF-8: {exc}") from exc
     try:
-        return json.loads(text, parse_constant=_reject_constant)
+        return _DECODER.decode(text)
     except WireError:
         raise
     except json.JSONDecodeError as exc:
@@ -396,12 +401,11 @@ def _parse_sample_b64(
             field=shape_field,
         )
     raw_shape = raw_tick["shape"]
-    if (
-        not isinstance(raw_shape, list)
-        or len(raw_shape) != 2
-        or any(
-            isinstance(v, bool) or not isinstance(v, int) for v in raw_shape
-        )
+    if not (
+        isinstance(raw_shape, list)
+        and len(raw_shape) == 2
+        and type(raw_shape[0]) is int  # JSON integers; bool is not one
+        and type(raw_shape[1]) is int
     ):
         raise WireError(
             "bad_type",

@@ -103,26 +103,29 @@ class TickQueue(Generic[T]):
             self._not_empty.notify()
             return 0
 
-    def try_put(self, item: T) -> bool:
-        """Enqueue without waiting: ``False`` means full, try again later.
+    def try_put_many(self, items: Sequence[T]) -> int:
+        """Enqueue a run of items without waiting; returns how many fit.
 
         The network ingestion path uses this instead of a blocking
         :meth:`put` — an HTTP handler must never park a server thread on
-        queue room; it answers 429 and lets the *client* wait.  Under the
-        ``drop_oldest`` policy this always succeeds (evicting like
-        :meth:`put` would).
+        queue room; it admits what fits, answers 429 for the rest and lets
+        the *client* wait.  Under ``drop_oldest`` everything fits (evicting
+        like :meth:`put` would).
         """
         with self._lock:
             if self._closed:
                 raise QueueClosed("queue is closed")
-            if len(self._items) >= self.capacity:
-                if self.policy != "drop_oldest":
-                    return False
-                self._items.popleft()
-                self.dropped += 1
-            self._items.append(item)
-            self._not_empty.notify()
-            return True
+            if self.policy != "drop_oldest":
+                items = items[: max(0, self.capacity - len(self._items))]
+            self._items.extend(items)
+            overflow = len(self._items) - self.capacity
+            if overflow > 0:
+                for _ in range(overflow):
+                    self._items.popleft()
+                self.dropped += overflow
+            if items:
+                self._not_empty.notify(len(items))
+            return len(items)
 
     def get(self, timeout: Optional[float] = None) -> T:
         """Dequeue one item, waiting up to ``timeout`` seconds."""

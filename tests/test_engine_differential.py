@@ -25,6 +25,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.kcd import kcd_matrix
+from repro.core.matrices import triangle_indices
 from repro.engine import BatchedEngine, ReferenceEngine, make_engine
 
 TOLERANCE = 1e-9
@@ -42,16 +43,16 @@ def _reference_matrices(window, max_delay, active):
 
 def _assert_engine_matches(engine, window, kpi_names, max_delay, active,
                            window_start=None):
-    matrices = engine.matrices(
+    scores = engine.matrices(
         window, kpi_names, max_delay=max_delay, active=active,
         window_start=window_start,
     )
     expected = _reference_matrices(window, max_delay, active)
-    assert len(matrices) == len(kpi_names)
-    for k, matrix in enumerate(matrices):
-        assert matrix.kpi == kpi_names[k]
+    rows, cols = triangle_indices(window.shape[0])
+    assert scores.shape == (len(kpi_names), rows.size)
+    for k in range(len(kpi_names)):
         np.testing.assert_allclose(
-            matrix.to_dense(), expected[k], rtol=0.0, atol=TOLERANCE,
+            scores[k], expected[k][rows, cols], rtol=0.0, atol=TOLERANCE,
             err_msg=f"kpi {k} max_delay={max_delay}",
         )
 
@@ -163,8 +164,7 @@ def test_uncached_calls_match_cached_calls():
     uncached = BatchedEngine()
     a = cached.matrices(window, kpi_names, window_start=0)
     b = uncached.matrices(window, kpi_names, window_start=None)
-    for left, right in zip(a, b):
-        np.testing.assert_array_equal(left.to_dense(), right.to_dense())
+    np.testing.assert_array_equal(a, b)
 
 
 def test_growing_detector_window_sequence_matches_reference():

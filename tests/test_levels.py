@@ -9,11 +9,11 @@ from repro.core.levels import (
     LEVEL_EXTREME_DEVIATION,
     LEVEL_SLIGHT_DEVIATION,
     CorrelationLevels,
-    aggregate_peer_scores,
     calculate_levels,
     score_to_level,
 )
 from repro.core.matrices import build_correlation_matrices
+from tests.oracles import aggregate_peer_scores
 
 
 class TestScoreToLevel:

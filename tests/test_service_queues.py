@@ -33,8 +33,26 @@ class TestTickQueueDropOldest:
         assert queue.put("a") == 0
         assert queue.put("b") == 1
 
+    def test_try_put_many_admits_all_and_evicts_like_put(self):
+        queue = TickQueue(capacity=3, policy="drop_oldest")
+        queue.put(0)
+        assert queue.try_put_many([1, 2, 3, 4]) == 4
+        assert queue.dropped == 2
+        assert queue.drain() == [2, 3, 4]
+
 
 class TestTickQueueBlock:
+    def test_try_put_many_admits_the_prefix_that_fits(self):
+        queue = TickQueue(capacity=3, policy="block")
+        queue.put(0)
+        assert queue.try_put_many([1, 2, 3]) == 2
+        assert queue.try_put_many([3]) == 0
+        assert queue.dropped == 0
+        assert queue.drain() == [0, 1, 2]
+        queue.close()
+        with pytest.raises(QueueClosed):
+            queue.try_put_many([3])
+
     def test_blocking_put_times_out(self):
         queue = TickQueue(capacity=1, policy="block")
         queue.put("a")
