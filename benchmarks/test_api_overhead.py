@@ -64,7 +64,11 @@ def _dataset() -> Dataset:
 
 
 def _serve_networked(dataset, config):
-    """One full network replay; returns (report, total_s, ingest_s)."""
+    """One full network replay.
+
+    Returns ``(report, total_s, ingest_s, requests, connections)``; the
+    pusher keeps one persistent connection, so ``connections`` is 1.
+    """
     source = NetworkSource(
         capacity=2 * UNITS * TICKS,  # never backpressure: measure ingest,
         handshake_timeout_seconds=60.0,  # not the client's retry pacing
@@ -90,7 +94,13 @@ def _serve_networked(dataset, config):
         pusher.join(timeout=60.0)
     if "error" in outcome:
         raise outcome["error"]
-    return report, total, ingest_seconds
+    return (
+        report,
+        total,
+        ingest_seconds,
+        registry.counter("api.requests").value,
+        registry.counter("api.connections").value,
+    )
 
 
 def test_api_ingest_overhead():
@@ -111,7 +121,9 @@ def test_api_ingest_overhead():
         )
         bare_wall.append(time.perf_counter() - started)
 
-        networked, total, ingest_seconds = _serve_networked(dataset, config)
+        networked, total, ingest_seconds, requests, connections = (
+            _serve_networked(dataset, config)
+        )
         networked_wall.append(total)
         assert 0.0 < ingest_seconds < total
         inline_ratios.append(total / (total - ingest_seconds))
@@ -149,6 +161,8 @@ def test_api_ingest_overhead():
         networked_wall_s=round(min(networked_wall), 3),
         e2e_ratio=round(e2e_ratio, 4),
         n_databases=N_DATABASES,
+        requests=requests,
+        connections=connections,
     )
 
     assert overhead_ratio <= MAX_OVERHEAD, (

@@ -156,8 +156,12 @@ def attribute_result(
         zip([matrix.kpi for matrix in matrices], deficits.sum(axis=1).tolist())
     )
     pair_totals = deficits.sum(axis=0)
-    db_totals = np.bincount(rows, pair_totals, n_dbs) + np.bincount(
-        cols, pair_totals, n_dbs
+    # One bincount over every (KPI, row-then-column) endpoint, in KPI
+    # order: each database total adds its deficits in the same order as
+    # a per-KPI walk, so near-tied databases rank the same either way.
+    endpoints = np.tile(np.concatenate((rows, cols)), len(matrices))
+    db_totals = np.bincount(
+        endpoints, np.concatenate((deficits, deficits), axis=1).ravel(), n_dbs
     )
     cells_evaluated = int(np.count_nonzero(usable))
     total_deficit = sum(kpi_totals.values())

@@ -1,7 +1,8 @@
 """HTTP client for the ingestion plane, plus the dataset push replayer.
 
-:class:`ApiClient` is a thin stdlib (``urllib``) wrapper over the wire
-schema; :func:`push_dataset` is the collector side of the drill story —
+:class:`ApiClient` is a thin stdlib (``http.client``) wrapper over the
+wire schema that keeps one persistent HTTP/1.1 connection per client;
+:func:`push_dataset` is the collector side of the drill story —
 it replays a saved dataset against a ``serve --ingest-port`` endpoint,
 honouring backpressure (sleep and re-post on 429) and reconnecting with
 exponential backoff when the endpoint vanishes mid-stream (connection
@@ -16,13 +17,14 @@ same payload cannot help).
 
 from __future__ import annotations
 
+import http.client
 import json
+import threading
 import time
-import urllib.error
-import urllib.request
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from urllib.parse import urlsplit
 
 from repro.obs import runtime as obs
 from repro.service.api.wire import encode_handshake, encode_tick_batch
@@ -64,6 +66,15 @@ class TransientApiError(ApiError):
 class ApiClient:
     """Typed requests against one :class:`IngestServer` endpoint.
 
+    The client holds one persistent HTTP/1.1 connection, reopened when
+    the endpoint URL changes or after a transport error.  A *reused*
+    connection that fails before any response byte arrives (the server
+    dropped it while idle, or restarted) is retried once on a fresh
+    connection; re-posting is safe because the server counts re-posted
+    ticks as stale.  Requests from several threads take turns on the one
+    connection — give each collector thread its own client.  Use the
+    client as a context manager, or call :meth:`close`, to release it.
+
     Parameters
     ----------
     url:
@@ -90,6 +101,10 @@ class ApiClient:
         self._url = url
         self._url_provider = url_provider
         self.timeout_seconds = timeout_seconds
+        self._lock = threading.Lock()
+        self._conn: Optional[http.client.HTTPConnection] = None
+        self._conn_url: Optional[str] = None
+        self._prefix = ""  # path part of the connection's base URL
 
     @property
     def url(self) -> str:
@@ -98,34 +113,74 @@ class ApiClient:
         assert self._url_provider is not None
         return self._url_provider()
 
+    def close(self) -> None:
+        """Close the connection (the next request opens a fresh one)."""
+        with self._lock:
+            self._drop()
+
+    def __enter__(self) -> "ApiClient":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
+
+    def _drop(self) -> None:
+        if self._conn is not None:
+            self._conn.close()
+            self._conn = None
+
+    def _connection(self, url: str) -> http.client.HTTPConnection:
+        if self._conn is not None and self._conn_url == url:
+            return self._conn
+        self._drop()
+        parts = urlsplit(url)
+        if parts.scheme != "http" or not parts.hostname:
+            raise ValueError(f"expected an http://host:port URL, got {url!r}")
+        self._conn = http.client.HTTPConnection(
+            parts.hostname, parts.port, timeout=self.timeout_seconds
+        )
+        self._conn_url = url
+        self._prefix = parts.path.rstrip("/")
+        return self._conn
+
     def _request(
         self, method: str, path: str, payload: Optional[Dict[str, Any]] = None
     ) -> Tuple[int, Dict[str, Any]]:
         body = None if payload is None else json.dumps(payload).encode("utf-8")
-        request = urllib.request.Request(
-            f"{self.url}{path}",
-            data=body,
-            method=method,
-            headers={"Content-Type": "application/json"},
-        )
-        try:
-            with urllib.request.urlopen(
-                request, timeout=self.timeout_seconds
-            ) as response:
-                return response.status, self._decode(response.read())
-        except urllib.error.HTTPError as exc:
-            answer = self._decode(exc.read())
-            if exc.code >= 500:
-                raise TransientApiError.from_payload(exc.code, answer) from exc
-            return exc.code, answer
-        except urllib.error.URLError as exc:
-            raise TransientApiError(
-                503, "unreachable", f"{method} {path}: {exc.reason}"
-            ) from exc
-        except (TimeoutError, ConnectionError, OSError) as exc:
-            raise TransientApiError(
-                503, "unreachable", f"{method} {path}: {exc}"
-            ) from exc
+        with self._lock:
+            status, raw = self._exchange(method, path, body)
+        answer = self._decode(raw)
+        if status >= 500:
+            raise TransientApiError.from_payload(status, answer)
+        return status, answer
+
+    def _exchange(
+        self, method: str, path: str, body: Optional[bytes]
+    ) -> Tuple[int, bytes]:
+        while True:
+            conn = self._connection(self.url)
+            # http.client drops the socket after a ``Connection: close``
+            # answer, so a live socket here has served an earlier request.
+            reused = conn.sock is not None
+            responded = False
+            try:
+                conn.request(
+                    method, self._prefix + path, body=body,
+                    headers={"Content-Type": "application/json"},
+                )
+                response = conn.getresponse()
+                responded = True
+                return response.status, response.read()
+            except (OSError, http.client.HTTPException) as exc:
+                self._drop()
+                # The server dropped a reused connection (idle timeout or
+                # restart): retry on a fresh one, which is never reused,
+                # so this retries at most once.
+                if reused and not responded and isinstance(exc, ConnectionError):
+                    continue
+                raise TransientApiError(
+                    503, "unreachable", f"{method} {path}: {exc}"
+                ) from exc
 
     @staticmethod
     def _decode(raw: bytes) -> Dict[str, Any]:
@@ -309,7 +364,7 @@ def push_dataset(
             client.close_stream()
 
     attempts = 0
-    with obs.histogram("api.push_seconds").time():
+    with client, obs.histogram("api.push_seconds").time():
         while True:
             try:
                 replay()

@@ -14,6 +14,14 @@ for an ephemeral port in tests — and speaks the
 * ``GET /v1/state``         — durable snapshot/WAL layout on disk;
 * ``GET /healthz``          — liveness probe.
 
+Connections are persistent HTTP/1.1: a collector keeps one TCP
+connection open across its posts instead of paying a connect, an accept
+and a fresh handler thread per ``POST``.  A response sent without reading
+the request body closes the connection (the unread bytes would otherwise
+parse as the next request), an idle connection is dropped after
+:data:`IDLE_TIMEOUT_SECONDS`, and :meth:`IngestServer.close` ends every
+live connection.
+
 Ingestion feeds a :class:`~repro.service.api.source.NetworkSource`; the
 query side reads an :class:`ApiState` view that doubles as an alert sink
 and as the scheduler's ``result_listener``, so serving queries never
@@ -29,6 +37,7 @@ import fnmatch
 import json
 import math
 import os
+import socket
 import threading
 import time
 from collections import OrderedDict, deque
@@ -51,7 +60,11 @@ from repro.service.api.wire import (
     parse_tick_batch,
 )
 
-__all__ = ["ApiState", "IngestServer"]
+__all__ = ["ApiState", "IngestServer", "IDLE_TIMEOUT_SECONDS"]
+
+#: Seconds a kept-alive connection may sit between requests before its
+#: handler drops it, so an abandoned collector cannot pin a thread.
+IDLE_TIMEOUT_SECONDS = 30.0
 
 
 def _result_summary(result: UnitDetectionResult) -> Dict[str, Any]:
@@ -167,6 +180,75 @@ def _state_overview(state_dir: Optional[str]) -> Dict[str, Any]:
     return overview
 
 
+class _Handler(BaseHTTPRequestHandler):
+    """One collector connection, kept open across its requests."""
+
+    protocol_version = "HTTP/1.1"
+    # Required, not a tuning knob: a kept-alive connection carrying small
+    # request/response pairs otherwise stalls on Nagle's algorithm against
+    # the peer's delayed ACK (DESIGN.md has the measurement).
+    disable_nagle_algorithm = True
+    api: "IngestServer"
+    #: Whether the current request still has body bytes on the socket.
+    body_pending = False
+
+    def do_GET(self) -> None:  # noqa: N802 - stdlib API name
+        self.api._handle(self, "GET")
+
+    def do_PUT(self) -> None:  # noqa: N802 - stdlib API name
+        self.api._handle(self, "PUT")
+
+    def do_POST(self) -> None:  # noqa: N802 - stdlib API name
+        self.api._handle(self, "POST")
+
+    def log_message(self, format: str, *args) -> None:
+        pass  # collectors post every interval; stderr would flood
+
+
+class _HttpServer(ThreadingHTTPServer):
+    """``ThreadingHTTPServer`` that knows its live connections.
+
+    Each accepted socket maps to its handler thread until the handler
+    returns, so :meth:`close_connections` can end kept-alive connections
+    that would otherwise outlive the server.
+    """
+
+    def __init__(self, address, handler) -> None:
+        super().__init__(address, handler)
+        self._live: Dict[socket.socket, threading.Thread] = {}
+        self._live_lock = threading.Lock()
+
+    def process_request(self, request, client_address) -> None:
+        obs.counter("api.connections").increment()
+        thread = threading.Thread(
+            target=self.process_request_thread,
+            args=(request, client_address),
+            name="repro-api-conn",
+            daemon=True,
+        )
+        with self._live_lock:
+            self._live[request] = thread
+        thread.start()
+
+    def shutdown_request(self, request) -> None:
+        with self._live_lock:
+            self._live.pop(request, None)
+        super().shutdown_request(request)
+
+    def close_connections(self, timeout: float) -> None:
+        """Shut every live connection down and wait for its handler."""
+        with self._live_lock:
+            live = list(self._live.items())
+        for request, _ in live:
+            try:
+                request.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass  # already gone
+        deadline = time.monotonic() + timeout
+        for _, thread in live:
+            thread.join(timeout=max(deadline - time.monotonic(), 0.0))
+
+
 class IngestServer:
     """Serve the v1 ingestion + query API over HTTP.
 
@@ -208,21 +290,11 @@ class IngestServer:
         self.max_body_bytes = max_body_bytes
         server = self
 
-        class _Handler(BaseHTTPRequestHandler):
-            def do_GET(self) -> None:  # noqa: N802 - stdlib API name
-                server._handle(self, "GET")
+        class _BoundHandler(_Handler):
+            api = server
+            timeout = IDLE_TIMEOUT_SECONDS  # read per server, so tests can patch it
 
-            def do_PUT(self) -> None:  # noqa: N802 - stdlib API name
-                server._handle(self, "PUT")
-
-            def do_POST(self) -> None:  # noqa: N802 - stdlib API name
-                server._handle(self, "POST")
-
-            def log_message(self, format: str, *args) -> None:
-                pass  # collectors post every interval; stderr would flood
-
-        self._server = ThreadingHTTPServer((host, port), _Handler)
-        self._server.daemon_threads = True
+        self._server = _HttpServer((host, port), _BoundHandler)
         self._thread: Optional[threading.Thread] = threading.Thread(
             target=self._server.serve_forever,
             name="repro-api-http",
@@ -246,10 +318,15 @@ class IngestServer:
         return f"http://{self.host}:{self.port}"
 
     def close(self) -> None:
-        """Stop serving and release the socket (the source stays usable)."""
+        """Stop serving, end live connections and release the socket.
+
+        Kept-alive connections are shut down too, so no request is
+        admitted after ``close`` returns; the source stays usable.
+        """
         if self._thread is None:
             return
         self._server.shutdown()
+        self._server.close_connections(timeout=5.0)
         self._server.server_close()
         self._thread.join(timeout=5.0)
         self._thread = None
@@ -261,28 +338,44 @@ class IngestServer:
         self.close()
 
     @staticmethod
-    def _send_json(
-        handler: BaseHTTPRequestHandler,
+    def _send(
+        handler: _Handler,
         status: int,
-        payload: Dict[str, Any],
+        content_type: str,
+        body: bytes,
         retry_after: Optional[float] = None,
     ) -> None:
-        body = json.dumps(payload).encode("utf-8")
         handler.send_response(status)
-        handler.send_header("Content-Type", "application/json")
+        handler.send_header("Content-Type", content_type)
         handler.send_header("Content-Length", str(len(body)))
         if retry_after is not None:
             handler.send_header("Retry-After", str(math.ceil(retry_after)))
+        if handler.body_pending:
+            # Drain-or-close: unread body bytes would parse as the next
+            # request on this connection, so end the connection instead.
+            handler.close_connection = True
+            handler.send_header("Connection", "close")
         handler.end_headers()
         try:
             handler.wfile.write(body)
         except (BrokenPipeError, ConnectionResetError):
             pass  # client gave up; nothing to salvage
 
-    def _read_body(self, handler: BaseHTTPRequestHandler) -> Any:
+    @classmethod
+    def _send_json(
+        cls,
+        handler: _Handler,
+        status: int,
+        payload: Dict[str, Any],
+        retry_after: Optional[float] = None,
+    ) -> None:
+        body = json.dumps(payload).encode("utf-8")
+        cls._send(handler, status, "application/json", body, retry_after)
+
+    def _read_body(self, handler: _Handler) -> Any:
         return decode_body(self._read_raw(handler), self.max_body_bytes)
 
-    def _read_raw(self, handler: BaseHTTPRequestHandler) -> bytes:
+    def _read_raw(self, handler: _Handler) -> bytes:
         length = handler.headers.get("Content-Length")
         if length is None:
             raise WireError(
@@ -302,15 +395,21 @@ class IngestServer:
                 f"body is {n_bytes} bytes, limit {self.max_body_bytes}",
                 status=413,
             )
-        return handler.rfile.read(n_bytes)
+        raw = handler.rfile.read(n_bytes)
+        handler.body_pending = False
+        return raw
 
     # -- routing -----------------------------------------------------------
 
-    def _handle(self, handler: BaseHTTPRequestHandler, method: str) -> None:
+    def _handle(self, handler: _Handler, method: str) -> None:
         started = time.perf_counter()
         path = unquote(handler.path.split("?", 1)[0])
         query = handler.path.partition("?")[2]
         obs.counter("api.requests").increment()
+        headers = handler.headers
+        handler.body_pending = "Transfer-Encoding" in headers or (
+            headers.get("Content-Length", "0").strip() != "0"
+        )
         try:
             if method == "GET":
                 self._handle_get(handler, path, query)
@@ -355,7 +454,7 @@ class IngestServer:
                 time.perf_counter() - started
             )
 
-    def _handle_stream(self, handler: BaseHTTPRequestHandler) -> None:
+    def _handle_stream(self, handler: _Handler) -> None:
         fleet = parse_handshake(self._read_body(handler))
         created = self.source.register(fleet)
         self._send_json(
@@ -364,7 +463,7 @@ class IngestServer:
             {"registered": True, "created": created},
         )
 
-    def _handle_ticks(self, handler: BaseHTTPRequestHandler) -> None:
+    def _handle_ticks(self, handler: _Handler) -> None:
         # The socket read is transport wait (it blocks off-GIL until the
         # client's bytes arrive) — only the CPU work that contends with
         # detection is charged to the gated ingest span: JSON decode,
@@ -380,15 +479,10 @@ class IngestServer:
         self._send_json(handler, 200, counts)
 
     def _handle_get(
-        self, handler: BaseHTTPRequestHandler, path: str, query: str
+        self, handler: _Handler, path: str, query: str
     ) -> None:
         if path == "/healthz":
-            body = b"ok\n"
-            handler.send_response(200)
-            handler.send_header("Content-Type", "text/plain; charset=utf-8")
-            handler.send_header("Content-Length", str(len(body)))
-            handler.end_headers()
-            handler.wfile.write(body)
+            self._send(handler, 200, "text/plain; charset=utf-8", b"ok\n")
             return
         if path == "/v1/units":
             fleet = self.source.fleet

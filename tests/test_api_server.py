@@ -11,6 +11,7 @@ import http.client
 import json
 import socket
 import threading
+import time
 import urllib.request
 
 import numpy as np
@@ -19,6 +20,7 @@ import pytest
 from repro.cli import main
 from repro.core.config import DBCatcherConfig
 from repro.datasets.containers import Dataset, UnitSeries
+from repro.obs import runtime as obs
 from repro.service import DetectionService, ReplaySource, RetryingSource, ServiceConfig
 from repro.service.api import (
     ApiClient,
@@ -28,7 +30,9 @@ from repro.service.api import (
     NetworkSource,
     TransientApiError,
     encode_tick_batch,
+    push_dataset,
 )
+from repro.service.api import server as server_module
 from repro.service.sources import TickEvent
 
 CONFIG = DBCatcherConfig(
@@ -57,7 +61,8 @@ def _plane():
     source = NetworkSource(capacity=64, handshake_timeout_seconds=10.0)
     view = ApiState()
     with IngestServer(source, view=view) as server:
-        yield source, view, server, ApiClient(url=server.url)
+        with ApiClient(url=server.url) as client:
+            yield source, view, server, client
 
 
 def _register(client):
@@ -298,6 +303,124 @@ class TestRequestPlumbing:
             assert json.loads(payload)["error"]["code"] == "not_found"
 
 
+OVERSIZED = b'{"version": 1, "padding": "' + b"x" * 128 + b'"}'
+
+
+def _post_then_healthz(server, path, headers, body):
+    """A raw ``POST``, then ``GET /healthz`` on the same client connection."""
+    conn = http.client.HTTPConnection(server.host, server.port, timeout=10)
+    try:
+        conn.putrequest("POST", path)
+        for name, value in headers:
+            conn.putheader(name, value)
+        conn.endheaders()
+        conn.send(body)
+        first = conn.getresponse()
+        first.read()
+        conn.request("GET", "/healthz")
+        second = conn.getresponse()
+        return first, second.status, second.read()
+    finally:
+        conn.close()
+
+
+class TestKeepAlive:
+    """One TCP connection carries many requests (HTTP/1.1)."""
+
+    def test_connection_serves_many_requests(self, plane):
+        _, _, _, client = plane
+        with obs.scoped() as registry:
+            _register(client)
+            for start in range(0, 12, 3):
+                client.post_ticks("u0", _events("u0", 3, start_seq=start))
+            assert client.healthz()
+        assert registry.counter("api.connections").value == 1
+        assert registry.counter("api.requests").value == 6
+
+    @pytest.mark.parametrize(
+        "path, headers, body, status",
+        [
+            # 404: unknown route, body never read.
+            ("/v1/nope", [("Content-Length", "2")], b"{}", 404),
+            # 411: a chunked body without Content-Length.
+            (
+                "/v1/ticks",
+                [("Transfer-Encoding", "chunked")],
+                b"2\r\n{}\r\n0\r\n\r\n",
+                411,
+            ),
+            # 400 bad_length: the body length is unknowable.
+            ("/v1/ticks", [("Content-Length", "abc")], b"{}", 400),
+            # 413: a body over the limit is refused unread.
+            (
+                "/v1/ticks",
+                [("Content-Length", str(len(OVERSIZED)))],
+                OVERSIZED,
+                413,
+            ),
+        ],
+    )
+    def test_unread_body_closes_the_connection(self, path, headers, body, status):
+        # Kept alive, the unread body would parse as the next request:
+        # GET /healthz would answer 400 (or 501) instead of 200.
+        source = NetworkSource(handshake_timeout_seconds=5.0)
+        with IngestServer(source, max_body_bytes=64) as server:
+            first, second, payload = _post_then_healthz(
+                server, path, headers, body
+            )
+        assert first.status == status
+        assert (second, payload) == (200, b"ok\n")
+        assert first.getheader("Connection") == "close"
+
+    def test_read_body_keeps_the_connection(self, plane):
+        _, _, server, _ = plane
+        with obs.scoped() as registry:
+            first, second, _ = _post_then_healthz(
+                server, "/v1/ticks", [("Content-Length", "2")], b"{}"
+            )
+        assert first.status == 400  # read, then rejected by the schema
+        assert first.getheader("Connection") is None
+        assert second == 200
+        assert registry.counter("api.connections").value == 1
+
+    def test_close_ends_live_connections(self):
+        before = set(threading.enumerate())
+        source = NetworkSource(handshake_timeout_seconds=5.0)
+        server = IngestServer(source)
+        conn = http.client.HTTPConnection(server.host, server.port, timeout=5)
+        try:
+            conn.request("GET", "/healthz")
+            assert conn.getresponse().read() == b"ok\n"
+            server.close()
+            with pytest.raises((http.client.HTTPException, OSError)):
+                conn.request("GET", "/healthz")
+                conn.getresponse().read()
+        finally:
+            conn.close()
+            server.close()
+        leftover = [
+            thread for thread in threading.enumerate()
+            if thread not in before and thread.is_alive()
+        ]
+        assert leftover == []
+
+    def test_idle_connection_times_out(self, monkeypatch):
+        monkeypatch.setattr(server_module, "IDLE_TIMEOUT_SECONDS", 0.2)
+        source = NetworkSource(handshake_timeout_seconds=5.0)
+        with IngestServer(source) as server:
+            with socket.create_connection(
+                (server.host, server.port), timeout=10
+            ) as sock:
+                sock.sendall(b"GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n")
+                reply = b""
+                while not reply.endswith(b"ok\n"):
+                    reply += sock.recv(4096)
+                assert reply.startswith(b"HTTP/1.1 200")
+                started = time.monotonic()
+                assert sock.recv(4096) == b""  # the server hung up
+                assert time.monotonic() - started < 5.0
+
+
 def _detection_results(n_databases=4, n_ticks=64, seed=3):
     rng = np.random.default_rng(seed)
     trend = np.sin(np.linspace(0, 7, n_ticks)) + 2.0
@@ -536,6 +659,76 @@ class TestClientTransport:
         assert client.healthz()
         assert client.get_units()["registered"] is False
         assert len(urls) == 2
+
+    def test_dead_endpoint_after_reuse_is_transient(self):
+        server = IngestServer(NetworkSource(handshake_timeout_seconds=5.0))
+        with ApiClient(url=server.url, timeout_seconds=2.0) as client:
+            assert client.healthz()
+            server.close()
+            with pytest.raises(TransientApiError) as caught:
+                client.healthz()
+        assert caught.value.code == "unreachable"
+
+    def test_url_change_opens_a_new_connection(self):
+        first_source = NetworkSource(handshake_timeout_seconds=5.0)
+        second_source = NetworkSource(handshake_timeout_seconds=5.0)
+        with IngestServer(first_source) as first, IngestServer(
+            second_source
+        ) as second:
+            urls = iter([first.url, first.url, second.url])
+            with obs.scoped() as registry, ApiClient(
+                url_provider=lambda: next(urls)
+            ) as client:
+                _register(client)
+                assert client.get_units()["registered"] is True
+                assert client.get_units()["registered"] is False
+        assert registry.counter("api.connections").value == 2
+
+    def test_server_restart_between_posts_is_one_retry(self):
+        source = NetworkSource(capacity=64, handshake_timeout_seconds=10.0)
+        first = IngestServer(source)
+        with obs.scoped() as registry, ApiClient(url=first.url) as client:
+            _register(client)
+            assert client.post_ticks("u0", _events("u0", 2))["accepted"] == 2
+            first.close()
+            with IngestServer(source, port=first.port):
+                answer = client.post_ticks("u0", _events("u0", 2, start_seq=2))
+        assert answer == {"accepted": 2, "stale": 0, "status": 200}
+        assert registry.counter("api.connections").value == 2
+
+    def test_push_uses_one_connection(self):
+        source = NetworkSource(capacity=64, handshake_timeout_seconds=10.0)
+        with IngestServer(source) as server, obs.scoped() as registry:
+            stats = push_dataset(_StaticSource(12), url=server.url, batch_ticks=3)
+        assert stats.batches == 4
+        assert registry.counter("api.connections").value == 1
+        # The posted batches, the handshake and the close.
+        assert registry.counter("api.requests").value == stats.batches + 2
+
+    def test_push_rides_a_restart_without_reconnecting(self):
+        source = NetworkSource(capacity=64, handshake_timeout_seconds=10.0)
+        servers = [IngestServer(source)]
+        calls = []
+
+        def provider():
+            calls.append(None)
+            if len(calls) == 3:  # before the second post
+                servers[0].close()
+                servers.append(IngestServer(source, port=servers[0].port))
+            return servers[-1].url
+
+        try:
+            with obs.scoped() as registry:
+                stats = push_dataset(
+                    _StaticSource(12), url_provider=provider, batch_ticks=3
+                )
+        finally:
+            for server in servers:
+                server.close()
+        assert len(servers) == 2
+        assert stats.reconnects == 0
+        assert (stats.batches, stats.accepted, stats.stale) == (4, 12, 0)
+        assert registry.counter("api.connections").value == 2
 
     def test_exactly_one_of_url_and_provider(self):
         with pytest.raises(ValueError):
